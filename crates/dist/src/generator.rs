@@ -13,6 +13,7 @@
 //! it then holds every batch too) *and* every payload it sent is acked,
 //! so no peer still needs its retransmissions.
 
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -252,11 +253,17 @@ impl DistResult {
     }
 }
 
-/// The exchange payloads; `Clone` because the reliable layer keeps
-/// unacked payloads for retransmission.
+/// One exchanged batch of arcs, shared rather than copied: the channel,
+/// the sender's unacked set (for retransmission), every duplicate a
+/// faulty link injects, and the sender's reuse pool all hold the same
+/// allocation.
+type Batch = std::sync::Arc<Vec<Arc>>;
+
+/// The exchange payloads; `Clone` (a reference-count bump for a batch)
+/// because the reliable layer keeps unacked payloads for retransmission.
 #[derive(Debug, Clone)]
 enum Message {
-    Batch(Vec<Arc>),
+    Batch(Batch),
     Done,
 }
 
@@ -521,11 +528,13 @@ struct Exchange<'a> {
     c_spill_arcs: LocalCounter,
     store: RankStore,
     outboxes: Vec<Vec<Arc>>,
-    // Recycled batch buffers: drained inbound `Vec`s are cleared and
-    // handed back out as outbox replacements instead of allocating a
-    // fresh `Vec` per sent batch. Bounded by the rank count so the pool
-    // never outgrows one buffer per open outbox.
-    spare: Vec<Vec<Arc>>,
+    // Sent batches whose buffers come back to the sender: once the ack
+    // has released the reliable layer's copy and the receiver has stored
+    // and dropped its own, the pool holds the only reference, and the
+    // next outbox refill reuses the allocation instead of a fresh `Vec`.
+    // Bounded by the rank count so the pool never outgrows one buffer per
+    // open outbox.
+    sent: VecDeque<Batch>,
     dones: usize,
 }
 
@@ -559,7 +568,7 @@ impl<'a> Exchange<'a> {
             reg,
             store: RankStore::new(config, rank, n_c),
             outboxes: vec![Vec::new(); config.ranks],
-            spare: Vec::new(),
+            sent: VecDeque::new(),
             dones: 0,
             link: ReliableEndpoint::new(ep),
         }
@@ -587,12 +596,11 @@ impl<'a> Exchange<'a> {
             self.reg.inc(self.c_sent_remote);
             self.outboxes[dest].push((p, q));
             if self.outboxes[dest].len() >= self.batch_size {
-                let refill = self.spare.pop();
+                let refill = self.reclaim_acked();
                 self.reg.add(self.c_buffers_reused, u64::from(refill.is_some()));
                 let batch =
                     std::mem::replace(&mut self.outboxes[dest], refill.unwrap_or_default());
-                self.reg.inc(self.c_messages);
-                self.link.send(dest, Message::Batch(batch));
+                self.send_batch(dest, batch);
                 if self.interleaved {
                     // Drain whatever the reliable layer has already
                     // delivered so the inbox never builds up
@@ -604,21 +612,43 @@ impl<'a> Exchange<'a> {
         }
     }
 
-    /// Stores every batch the reliable layer has already delivered,
-    /// recycling the drained buffers.
+    /// Sends one batch, keeping a handle in the reuse pool while it has
+    /// room.
+    fn send_batch(&mut self, dest: usize, batch: Vec<Arc>) {
+        let batch = Batch::new(batch);
+        if self.sent.len() < self.ranks {
+            self.sent.push_back(Batch::clone(&batch));
+        }
+        self.reg.inc(self.c_messages);
+        self.link.send(dest, Message::Batch(batch));
+    }
+
+    /// An emptied buffer of a sent batch that is acked and no longer held
+    /// by its receiver, if the pool has one.
+    fn reclaim_acked(&mut self) -> Option<Vec<Arc>> {
+        let at = self.sent.iter().position(|b| Batch::strong_count(b) == 1)?;
+        let batch = self.sent.remove(at).expect("position is in range");
+        // The pool held the only reference and no weak ones exist, so no
+        // other thread can take a new one: the unwrap cannot fail.
+        let mut buffer = Batch::try_unwrap(batch).ok()?;
+        buffer.clear();
+        Some(buffer)
+    }
+
+    /// Stores one delivered batch; dropping it releases the receiver's
+    /// reference so the sender can reuse the buffer.
+    fn store_batch(&mut self, batch: Batch) {
+        for &(p, q) in batch.iter() {
+            self.reg.inc(self.c_stored);
+            self.store.store(p, q);
+        }
+    }
+
+    /// Stores every batch the reliable layer has already delivered.
     fn drain_ready(&mut self) {
         while let Some((_, message)) = self.link.poll() {
             match message {
-                Message::Batch(mut batch) => {
-                    for &(p, q) in &batch {
-                        self.reg.inc(self.c_stored);
-                        self.store.store(p, q);
-                    }
-                    batch.clear();
-                    if self.spare.len() < self.ranks {
-                        self.spare.push(batch);
-                    }
-                }
+                Message::Batch(batch) => self.store_batch(batch),
                 Message::Done => self.dones += 1,
             }
         }
@@ -631,9 +661,8 @@ impl<'a> Exchange<'a> {
         // it proves every earlier batch on that link was delivered too.
         for dest in 0..self.ranks {
             if !self.outboxes[dest].is_empty() {
-                self.reg.inc(self.c_messages);
                 let batch = std::mem::take(&mut self.outboxes[dest]);
-                self.link.send(dest, Message::Batch(batch));
+                self.send_batch(dest, batch);
             }
         }
         for dest in 0..self.ranks {
@@ -643,17 +672,12 @@ impl<'a> Exchange<'a> {
         // Drain phase: run until (a) a Done from every rank — in-order
         // delivery means every batch is in by then — and (b) everything
         // this rank sent is acked, so no peer still waits on our
-        // retransmissions. `poll` retransmits unacked payloads and
-        // flushes held traffic whenever the mesh goes idle, which
-        // guarantees progress under bounded fair loss.
+        // retransmissions. On a faulty mesh `poll` retransmits unacked
+        // payloads and flushes held traffic whenever this rank goes idle,
+        // which guarantees progress under bounded fair loss.
         while self.dones < self.ranks || !self.link.all_acked() {
             match self.link.poll() {
-                Some((_, Message::Batch(batch))) => {
-                    for (p, q) in batch {
-                        self.reg.inc(self.c_stored);
-                        self.store.store(p, q);
-                    }
-                }
+                Some((_, Message::Batch(batch))) => self.store_batch(batch),
                 Some((_, Message::Done)) => self.dones += 1,
                 None => {}
             }
@@ -1083,24 +1107,37 @@ mod tests {
 
     #[test]
     fn interleaved_exchange_recycles_buffers() {
-        // batch_size 1 with a scattering owner: every remote arc is a
-        // send followed by an inbox poll, so drained receive buffers are
-        // recycled into outbox refills throughout generation. Whichever
-        // rank's sends are scheduled later necessarily polls after the
-        // other has delivered, so the total reuse count is positive under
-        // any interleaving.
-        let pair = KroneckerPair::as_is(clique(6), clique(6)).unwrap();
+        // Two ranks driven by hand on one thread, so the order of sends,
+        // deliveries and acks is fixed: a sent batch's buffer comes back
+        // to its sender once the receiver has stored it and the sender
+        // has processed the ack, and not before.
         let mut cfg = DistConfig::new(2);
         cfg.batch_size = 1;
         cfg.exchange = ExchangeMode::Interleaved;
-        cfg.owner = OwnerConfig::Hash { seed: 5 };
-        let result = generate_distributed(&pair, &cfg);
-        assert_eq!(result.union(pair.n_c()), reference(&pair));
-        assert!(
-            result.stats.total_batch_buffers_reused() > 0,
-            "no batch buffers recycled: {:?}",
-            result.stats.per_rank
-        );
+        let owner = VertexBlockOwner::new(4, 2);
+        let mut eps = Endpoint::mesh(&cfg.transport, 2);
+        let mut b = Exchange::new(eps.pop().expect("rank 1"), &owner, &cfg, 4);
+        let mut a = Exchange::new(eps.pop().expect("rank 0"), &owner, &cfg, 4);
+        let reused = |ex: &Exchange| ex.reg.get(RankStats::BATCH_BUFFERS_REUSED);
+        // Rows 2 and 3 belong to rank 1: each emit sends one batch.
+        a.emit(3, 0);
+        assert_eq!(reused(&a), 0, "nothing acked yet");
+        b.drain_ready();
+        // Rank 1 stored and acked batch 0, but rank 0 processes that ack
+        // only in the drain after this send.
+        a.emit(3, 1);
+        assert_eq!(reused(&a), 0, "ack not yet processed");
+        a.emit(3, 2);
+        assert_eq!(reused(&a), 1, "acked, consumed buffer not reused");
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(move || a.finish());
+            let b = scope.spawn(move || b.finish());
+            (a.join().expect("rank 0"), b.join().expect("rank 1"))
+        });
+        assert_eq!(a.stats.batch_buffers_reused, 1);
+        let mut stored = b.stored.arcs().to_vec();
+        stored.sort_unstable();
+        assert_eq!(stored, vec![(3, 0), (3, 1), (3, 2)]);
     }
 
     #[test]

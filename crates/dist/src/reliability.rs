@@ -4,8 +4,8 @@
 //!
 //! * [`ReliableEndpoint`] — the edge-exchange data plane. Every payload
 //!   is sequence-numbered per link; the receiver delivers **in order,
-//!   exactly once**, acks cumulatively, and the sender retransmits
-//!   unacked payloads when the mesh goes idle. Redelivery dedup is
+//!   exactly once**, acks cumulatively, and on a faulty mesh the sender
+//!   retransmits unacked payloads when it goes idle. Redelivery dedup is
 //!   *bounded*: one `u64` cumulative counter per peer kills every
 //!   duplicate below it, and only the (small, transient) out-of-order
 //!   window is buffered — no unbounded seen-set.
@@ -57,8 +57,10 @@ pub enum Packet<T> {
 
 /// How many consecutive empty polls an idle rank waits before
 /// retransmitting its unacked payloads and flushing held traffic. Purely
-/// event-counted — no wall clock — so behaviour is identical on loaded
-/// and idle machines.
+/// event-counted — no wall clock. Only faulty meshes retransmit: on a
+/// lossless one an idle rank is waiting for a peer that is still
+/// working, never for a lost message, and a retransmission there would
+/// only be redelivered and discarded.
 const RETRY_IDLE_POLLS: u32 = 32;
 
 /// Reliable, exactly-once, per-link-FIFO endpoint for the edge exchange.
@@ -177,7 +179,9 @@ impl<T: Clone + Send> ReliableEndpoint<T> {
         self.ep.take_recorder()
     }
 
-    /// Sends `payload` to `dest` reliably (first transmission).
+    /// Sends `payload` to `dest` reliably (first transmission). The
+    /// unacked set keeps a clone until the ack, so a payload meant to be
+    /// cheap here should share its data (an `Arc`) rather than own it.
     pub fn send(&mut self, dest: usize, payload: T) {
         let seq = self.next_seq[dest];
         self.next_seq[dest] += 1;
@@ -225,7 +229,7 @@ impl<T: Clone + Send> ReliableEndpoint<T> {
         let out = self.ready.pop_front();
         if out.is_none() {
             self.idle_polls += 1;
-            if self.idle_polls >= RETRY_IDLE_POLLS {
+            if self.idle_polls >= RETRY_IDLE_POLLS && !self.ep.is_lossless() {
                 self.idle_polls = 0;
                 self.retransmit();
             }
@@ -278,17 +282,12 @@ impl<T: Clone + Send> ReliableEndpoint<T> {
 
     fn retransmit(&mut self) {
         let from = self.ep.rank();
-        for dest in 0..self.unacked.len() {
-            // Clone out the pending set to appease the borrow on self.ep.
-            let pending: Vec<(u64, T)> = self.unacked[dest]
-                .iter()
-                .map(|(&s, p)| (s, p.clone()))
-                .collect();
-            for (seq, payload) in pending {
+        for (dest, pending) in self.unacked.iter().enumerate() {
+            for (&seq, payload) in pending {
                 self.retransmissions += 1;
                 self.ep.recorder().record(EventKind::Retransmit, dest as u32, seq, 0);
-                self.ep
-                    .send(dest, data_key(seq), Packet::Data { from, seq, payload });
+                let payload = payload.clone();
+                self.ep.send(dest, data_key(seq), Packet::Data { from, seq, payload });
             }
         }
         self.ep.flush();

@@ -231,6 +231,13 @@ impl<T: Clone + Send> Endpoint<T> {
         self.rank
     }
 
+    /// True on a [`TransportConfig::Perfect`] mesh: every send is
+    /// delivered exactly once and in order, so nothing ever needs a
+    /// retransmission.
+    pub(crate) fn is_lossless(&self) -> bool {
+        self.faults.is_none()
+    }
+
     /// Number of ranks in the mesh.
     pub fn ranks(&self) -> usize {
         self.links.len()

@@ -31,12 +31,15 @@
 //!   stream as an in-memory CSR **bit-identical** to
 //!   [`CsrGraph::from_edge_list`] over the same arc multiset;
 //!   [`build_external_csr`] goes fully out-of-core in **one** merge
-//!   pass: v2 footers predict the offset table, the pass verifies every
-//!   row boundary against the prediction while appending targets, and
-//!   only a divergence (v1 runs, cross-run duplicates, forged footers)
-//!   triggers an `O(n)` seek-back rewrite — output byte-identical to the
-//!   reference two-pass build ([`build_external_csr_two_pass`]) in every
-//!   case. [`ExternalCsr`] reads that file back — whole (for
+//!   pass scheduled by the v2 footers: they predict the offset table and
+//!   each run's row span, row-disjoint runs chain into *lanes* (one
+//!   merge leaf per unit of overlap depth, not per run), and row chunks
+//!   of equal predicted arcs merge on every core, writing their targets
+//!   at predicted positions while verifying every arc and row boundary.
+//!   Only a divergence (v1 runs, cross-run duplicates, forged footers)
+//!   drops to the sequential pass and its `O(n)` seek-back rewrite —
+//!   output byte-identical to the reference two-pass build
+//!   ([`build_external_csr_two_pass`]) in every case. [`ExternalCsr`] reads that file back — whole (for
 //!   validation-scale equality checks), row-at-a-time through an
 //!   optional bounded block cache (seeded-eviction, the
 //!   `kron-serve` row-cache design), or via streaming visitors
@@ -52,7 +55,10 @@
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use crate::csr::CsrGraph;
 use crate::{Arc, GraphError, Result};
@@ -734,27 +740,41 @@ fn footer_varint(input: &mut impl Read, left: &mut u64, path: &Path) -> Result<u
     }
 }
 
+/// Where one v2 run's arcs live and how many there are, as its footer
+/// and header claim.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunSpan {
+    /// Rows the footer names, `first_row..last_row + 1` (`0..0` for an
+    /// empty run). Untrusted: [`build_external_csr`] checks every decoded
+    /// arc against it.
+    pub rows: Range<u64>,
+    /// Arcs the header declares (the footer's counts sum to it).
+    pub arcs: u64,
+}
+
 /// Adds a v2 shard's per-row arc counts (from its footer sidecar) into
-/// `counts[row + 1]`, the layout a prefix sum turns into CSR offsets.
-/// Returns `Ok(false)` untouched for a v1 shard (no footer exists).
+/// `counts[row + 1]`, the layout a prefix sum turns into CSR offsets, and
+/// returns the run's claimed [`RunSpan`]. Returns `Ok(None)` untouched
+/// for a v1 shard: no footer exists, so the run may span all of `0..n`.
 ///
 /// The footer is validated like any other untrusted input: rows must be
 /// strictly increasing and `< n`, counts positive, every addition
 /// overflow-checked, and the entry sum must reproduce the header's arc
 /// count exactly. A footer can still *lie consistently* about which rows
-/// its arcs live in — [`build_external_csr`] verifies every row boundary
-/// during the merge pass and self-heals, so a forged footer costs a
-/// rewrite, never a corrupt CSR.
+/// its arcs live in — [`build_external_csr`] verifies every arc against
+/// the span and every row boundary against the prediction, and falls
+/// back to a self-healing pass, so a forged footer costs a rewrite,
+/// never a corrupt CSR.
 pub fn sum_footer_degrees<P: AsRef<Path>>(
     path: P,
     counts: &mut [u64],
     buf_bytes: usize,
-) -> Result<bool> {
+) -> Result<Option<RunSpan>> {
     let path = path.as_ref();
     let mut file = File::open(path)?;
     let header = read_shard_header(&mut file, path)?;
     if header.version == ShardVersion::V1 {
-        return Ok(false);
+        return Ok(None);
     }
     if counts.len() as u64 != header.n + 1 {
         return Err(corrupt(
@@ -766,12 +786,14 @@ pub fn sum_footer_degrees<P: AsRef<Path>>(
     let mut input = BufReader::with_capacity(buf_bytes.clamp(64, DEFAULT_IO_BUF), file);
     let mut left = header.footer_len;
     let mut prev_row = 0u64;
+    let mut first_row = 0u64;
     let mut first = true;
     let mut sum = 0u64;
     while left > 0 {
         let delta = footer_varint(&mut input, &mut left, path)?;
         let count = footer_varint(&mut input, &mut left, path)?;
         let row = if first {
+            first_row = delta;
             delta
         } else {
             if delta == 0 {
@@ -804,7 +826,8 @@ pub fn sum_footer_degrees<P: AsRef<Path>>(
             format!("footer counts sum to {sum}, header declares {}", header.count),
         ));
     }
-    Ok(true)
+    let rows = if first { 0..0 } else { first_row..prev_row + 1 };
+    Ok(Some(RunSpan { rows, arcs: header.count }))
 }
 
 // ---------------------------------------------------------------------------
@@ -893,6 +916,62 @@ impl LoserTree {
     }
 }
 
+/// A sorted arc stream the tournament merges: one run ([`ShardReader`])
+/// or one lane of row-disjoint runs read back to back.
+trait ArcSource {
+    fn next_arc(&mut self) -> Result<Option<Arc>>;
+}
+
+impl ArcSource for ShardReader {
+    #[inline]
+    fn next_arc(&mut self) -> Result<Option<Arc>> {
+        ShardReader::next_arc(self)
+    }
+}
+
+/// The one merge kernel: loser-tree merges sorted `sources` into a
+/// sorted, deduplicated stream delivered to the fallible `emit`; an `Err`
+/// from `emit` aborts at that arc. Equal arcs from different sources
+/// leave as one, so the tie order between sources never reaches the
+/// output. `MergeStats::runs` counts the sources.
+fn merge_sources<S: ArcSource, F: FnMut(u64, u64) -> Result<()>>(
+    sources: &mut [S],
+    mut emit: F,
+) -> Result<MergeStats> {
+    let mut stats = MergeStats { runs: sources.len(), ..MergeStats::default() };
+    if sources.is_empty() {
+        return Ok(stats);
+    }
+    let k2 = sources.len().next_power_of_two();
+    let mut heads: Vec<Option<Arc>> = Vec::with_capacity(k2);
+    for source in sources.iter_mut() {
+        heads.push(source.next_arc()?);
+    }
+    heads.resize(k2, None);
+    let mut tree = LoserTree::new(&heads);
+    let mut last: Option<Arc> = None;
+    loop {
+        let w = tree.winner();
+        let Some(arc) = heads[w] else { break };
+        heads[w] = sources[w].next_arc()?;
+        tree.replay(&heads, w);
+        if last == Some(arc) {
+            stats.duplicates_discarded += 1;
+        } else {
+            last = Some(arc);
+            stats.arcs_out += 1;
+            emit(arc.0, arc.1)?;
+        }
+    }
+    Ok(stats)
+}
+
+fn count_merge(stats: &MergeStats) {
+    kron_obs::counter!("shard.merged_runs").add(stats.runs as u64);
+    kron_obs::counter!("shard.merged_arcs").add(stats.arcs_out);
+    kron_obs::counter!("shard.merge_duplicates_discarded").add(stats.duplicates_discarded);
+}
+
 /// K-way merges sorted runs into one sorted, deduplicated arc stream,
 /// delivered to the fallible `emit` in strictly increasing
 /// `(source, target)` order; an `Err` from `emit` aborts the merge at
@@ -903,9 +982,8 @@ impl LoserTree {
 /// the readers' bounded buffers plus the `O(k)` tournament tree.
 pub fn try_merge_shards<F: FnMut(u64, u64) -> Result<()>>(
     mut readers: Vec<ShardReader>,
-    mut emit: F,
+    emit: F,
 ) -> Result<MergeStats> {
-    let mut stats = MergeStats { runs: readers.len(), ..MergeStats::default() };
     if let Some(first) = readers.first() {
         let n = first.n();
         for r in &readers {
@@ -917,32 +995,8 @@ pub fn try_merge_shards<F: FnMut(u64, u64) -> Result<()>>(
             }
         }
     }
-    if !readers.is_empty() {
-        let k2 = readers.len().next_power_of_two();
-        let mut heads: Vec<Option<Arc>> = Vec::with_capacity(k2);
-        for reader in readers.iter_mut() {
-            heads.push(reader.next_arc()?);
-        }
-        heads.resize(k2, None);
-        let mut tree = LoserTree::new(&heads);
-        let mut last: Option<Arc> = None;
-        loop {
-            let w = tree.winner();
-            let Some(arc) = heads[w] else { break };
-            heads[w] = readers[w].next_arc()?;
-            tree.replay(&heads, w);
-            if last == Some(arc) {
-                stats.duplicates_discarded += 1;
-            } else {
-                last = Some(arc);
-                stats.arcs_out += 1;
-                emit(arc.0, arc.1)?;
-            }
-        }
-    }
-    kron_obs::counter!("shard.merged_runs").add(stats.runs as u64);
-    kron_obs::counter!("shard.merged_arcs").add(stats.arcs_out);
-    kron_obs::counter!("shard.merge_duplicates_discarded").add(stats.duplicates_discarded);
+    let stats = merge_sources(&mut readers, emit)?;
+    count_merge(&stats);
     Ok(stats)
 }
 
@@ -1017,6 +1071,14 @@ pub struct ExternalCsrStats {
     /// Whether the offset region had to be rewritten after the merge
     /// pass (v1 runs present, cross-run duplicates, or a lying footer).
     pub offsets_rewritten: bool,
+    /// Leaves of the merge tree: lanes of row-disjoint runs when the
+    /// footers scheduled the build, one per run otherwise.
+    pub lanes: usize,
+    /// Row chunks the build was split into (1 when it ran sequentially).
+    pub chunks: usize,
+    /// Arcs decoded (and validated) only to reach a chunk's first row
+    /// inside a run that straddles the chunk start.
+    pub straddle_skipped_arcs: u64,
 }
 
 fn write_csr_header<W: Write>(out: &mut W, n: u64, count: u64) -> Result<()> {
@@ -1027,58 +1089,442 @@ fn write_csr_header<W: Write>(out: &mut W, n: u64, count: u64) -> Result<()> {
     Ok(())
 }
 
-/// Fully out-of-core CSR build in **one** merge pass: v2 footers predict
-/// the offset table, which is written optimistically before the pass;
-/// the pass appends targets while verifying every row boundary against
-/// the prediction. If the prediction holds (all-v2 runs, honest footers,
-/// no cross-run duplicates — the normal spill output) the file is
-/// already correct when the pass ends. Any divergence flips the build
-/// into repair mode, which finalizes true boundaries in place and
-/// rewrites the `O(n)` offset region with one seek — so the output is
-/// **byte-identical** to [`build_external_csr_two_pass`] in every case,
-/// for half the merge work in the common one.
+/// Byte offset of target slot 0 in a KRSC file over `n` vertices.
+fn targets_base(n: u64) -> u64 {
+    24 + 8 * (n + 1)
+}
+
+/// Chunks per worker when runs rarely straddle chunk starts: slack for
+/// the pull queue to even out chunks whose decode cost the arc balance
+/// misjudges.
+const CHUNKS_PER_WORKER: usize = 4;
+
+/// A v2 run as its footer describes it.
+#[derive(Debug, Clone)]
+struct FooterRun {
+    path: PathBuf,
+    span: RunSpan,
+}
+
+/// Greedy interval partitioning: chains runs with disjoint claimed row
+/// spans into lanes, taking runs by first row and reusing the lane that
+/// freed earliest. The lane count equals the maximum overlap depth of
+/// the spans. Each lane lists its runs in increasing, disjoint row order;
+/// empty runs are dropped (their headers were validated by the scan).
+fn partition_lanes(mut runs: Vec<FooterRun>) -> Vec<Vec<FooterRun>> {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    runs.retain(|r| r.span.arcs > 0);
+    runs.sort_by_key(|r| r.span.rows.start);
+    let mut lanes: Vec<Vec<FooterRun>> = Vec::new();
+    // (end row of the lane's last run, lane index), earliest end on top.
+    let mut free: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+    for run in runs {
+        let (start, end) = (run.span.rows.start, run.span.rows.end);
+        let lane = match free.peek() {
+            Some(&Reverse((lane_end, lane))) if lane_end <= start => {
+                free.pop();
+                lane
+            }
+            _ => {
+                lanes.push(Vec::new());
+                lanes.len() - 1
+            }
+        };
+        lanes[lane].push(run);
+        free.push(Reverse((end, lane)));
+    }
+    lanes
+}
+
+/// Splits `0..n` into at most `pieces` row ranges holding about equal
+/// predicted arcs (`offsets` is the predicted offset table).
+fn split_rows(offsets: &[u64], pieces: usize) -> Vec<Range<u64>> {
+    let n = (offsets.len() - 1) as u64;
+    let total = offsets[offsets.len() - 1];
+    let mut bounds = vec![0u64];
+    for c in 1..pieces {
+        let target = (u128::from(total) * c as u128 / pieces as u128) as u64;
+        // The row start nearest the target, ties to the earlier row.
+        let mut row = offsets.partition_point(|&o| o < target);
+        if row > 0 && target - offsets[row - 1] <= offsets[row] - target {
+            row -= 1;
+        }
+        let row = row as u64;
+        if row > bounds[bounds.len() - 1] && row < n {
+            bounds.push(row);
+        }
+    }
+    bounds.push(n);
+    bounds.windows(2).map(|w| w[0]..w[1]).collect()
+}
+
+/// Predicted arcs decoded only to be skipped at chunk starts, assuming a
+/// run's arcs spread evenly over its span.
+fn straddle_estimate(lanes: &[Vec<FooterRun>], chunks: &[Range<u64>]) -> u64 {
+    let mut skipped = 0u128;
+    for lo in chunks.iter().skip(1).map(|c| c.start) {
+        for run in lanes.iter().flatten() {
+            let rows = &run.span.rows;
+            if rows.start < lo && lo < rows.end {
+                skipped += u128::from(run.span.arcs) * u128::from(lo - rows.start)
+                    / u128::from(rows.end - rows.start);
+            }
+        }
+    }
+    skipped.min(u128::from(u64::MAX)) as u64
+}
+
+/// One lane's part of one chunk: the lane's runs whose claimed spans meet
+/// the chunk's rows, opened one at a time, so only one reader per lane is
+/// resident. Arcs before the chunk are decoded and dropped; the first
+/// arc at or past its end closes the lane for this chunk. An arc outside
+/// its run's claimed span marks the lane `diverged` and ends it — past
+/// that point the lane's order is unproven.
+struct LaneCursor<'a> {
+    runs: &'a [FooterRun],
+    next: usize,
+    reader: Option<ShardReader>,
+    span: Range<u64>,
+    rows: Range<u64>,
+    n: u64,
+    buf_bytes: usize,
+    skipped: u64,
+    diverged: bool,
+}
+
+impl LaneCursor<'_> {
+    fn close(&mut self) {
+        self.reader = None;
+        self.next = self.runs.len();
+    }
+}
+
+impl ArcSource for LaneCursor<'_> {
+    #[inline]
+    fn next_arc(&mut self) -> Result<Option<Arc>> {
+        loop {
+            if self.reader.is_none() {
+                let Some(run) = self.runs.get(self.next) else { return Ok(None) };
+                self.next += 1;
+                let reader = ShardReader::with_buffer(&run.path, self.buf_bytes)?;
+                if reader.n() != self.n {
+                    return Err(corrupt(&run.path, "shard universe changed since the footer scan"));
+                }
+                self.span = run.span.rows.clone();
+                self.reader = Some(reader);
+            }
+            let reader = self.reader.as_mut().expect("opened above");
+            let Some((u, v)) = reader.next_arc()? else {
+                self.reader = None;
+                continue;
+            };
+            if !self.span.contains(&u) {
+                self.diverged = true;
+                self.close();
+                return Ok(None);
+            }
+            if u < self.rows.start {
+                self.skipped += 1;
+                continue;
+            }
+            if u >= self.rows.end {
+                self.close();
+                return Ok(None);
+            }
+            return Ok(Some((u, v)));
+        }
+    }
+}
+
+/// What one chunk (or a worker's chunks) of the scheduled build produced.
+#[derive(Debug, Default)]
+struct ChunkTally {
+    arcs: u64,
+    duplicates: u64,
+    skipped: u64,
+}
+
+impl ChunkTally {
+    fn add(&mut self, other: &ChunkTally) {
+        self.arcs += other.arcs;
+        self.duplicates += other.duplicates;
+        self.skipped += other.skipped;
+    }
+}
+
+/// Merges the lanes meeting `rows` and writes the chunk's targets at
+/// their predicted positions. `Ok(None)` when the input diverged from
+/// the footers' prediction (a row boundary off, or an arc outside its
+/// run's span); the caller then abandons the scheduled build.
+fn build_chunk(
+    lanes: &[Vec<FooterRun>],
+    rows: Range<u64>,
+    offsets: &[u64],
+    file: &File,
+    out: &Path,
+    buf_bytes: usize,
+) -> Result<Option<ChunkTally>> {
+    let n = (offsets.len() - 1) as u64;
+    let mut cursors: Vec<LaneCursor> = lanes
+        .iter()
+        .filter_map(|lane| {
+            let from = lane.partition_point(|r| r.span.rows.end <= rows.start);
+            let to = lane.partition_point(|r| r.span.rows.start < rows.end);
+            (from < to).then(|| LaneCursor {
+                runs: &lane[from..to],
+                next: 0,
+                reader: None,
+                span: 0..0,
+                rows: rows.clone(),
+                n,
+                buf_bytes,
+                skipped: 0,
+                diverged: false,
+            })
+        })
+        .collect();
+    let base = targets_base(n);
+    let end = offsets[rows.end as usize];
+    let cap = (buf_bytes / 8).max(8) * 8;
+    let mut buf: Vec<u8> = Vec::with_capacity(cap);
+    let mut row = rows.start;
+    let mut pos = offsets[row as usize];
+    let mut buf_pos = pos;
+    let mut off_prediction = false;
+    let merged = merge_sources(&mut cursors, |u, v| {
+        // Arcs arrive sorted: close rows up to u, each at its predicted
+        // boundary, and never run past the chunk's predicted end.
+        while row < u {
+            row += 1;
+            if offsets[row as usize] != pos {
+                off_prediction = true;
+            }
+        }
+        if off_prediction || pos == end {
+            off_prediction = true;
+            return Err(corrupt(out, "merge diverged from the footer prediction"));
+        }
+        buf.extend_from_slice(&v.to_le_bytes());
+        pos += 1;
+        if buf.len() == cap {
+            file.write_all_at(&buf, base + 8 * buf_pos)?;
+            buf.clear();
+            buf_pos = pos;
+        }
+        Ok(())
+    });
+    if off_prediction || cursors.iter().any(|c| c.diverged) {
+        return Ok(None);
+    }
+    let stats = merged?;
+    while row < rows.end {
+        row += 1;
+        if offsets[row as usize] != pos {
+            return Ok(None);
+        }
+    }
+    file.write_all_at(&buf, base + 8 * buf_pos)?;
+    Ok(Some(ChunkTally {
+        arcs: stats.arcs_out,
+        duplicates: stats.duplicates_discarded,
+        skipped: cursors.iter().map(|c| c.skipped).sum(),
+    }))
+}
+
+/// Fully out-of-core CSR build, scheduled by the v2 footers and run on
+/// every core.
 ///
-/// Write errors surface at the failing write (the merge visitor is
-/// fallible), not at a final flush. Peak resident memory is the
-/// `(n + 1)`-entry offset table plus the bounded run buffers:
-/// independent of the arc count, which only ever exists on disk.
+/// 1. **Scan.** The footers predict the offset table and each run's row
+///    span ([`sum_footer_degrees`]).
+/// 2. **Lanes.** Runs with disjoint spans chain into lanes (greedy
+///    interval partitioning); a lane reads its runs back to back, so the
+///    merge tree has one leaf per unit of overlap depth instead of one
+///    per run, and one reader per lane is resident.
+/// 3. **Chunks.** `0..n` splits into arc-balanced row chunks that
+///    [`std::thread::available_parallelism`] workers pull. Each merges
+///    only the lanes meeting its rows, skip-decodes (and validates) the
+///    rows before its start inside a straddling run, and writes its
+///    targets with positional writes at their predicted slots.
+/// 4. **Verification.** Footers stay untrusted: every arc is checked
+///    against its run's claimed span and every row boundary against the
+///    prediction. Any divergence (a lying footer, cross-run duplicates,
+///    v1 runs without footers) drops the scheduled attempt and reruns
+///    the sequential single-pass build, which finalizes true boundaries
+///    in place and rewrites the `O(n)` offset region with one seek.
+///
+/// Either way the output is **byte-identical** to
+/// [`build_external_csr_two_pass`]: equal arcs leave the merge as one,
+/// so neither the tie order between leaves nor the chunk split reaches
+/// the bytes. Errors surface at the failing read or write. Peak resident
+/// memory is the `(n + 1)`-entry offset table plus one bounded reader per
+/// lane per worker: independent of the arc count, which only ever
+/// exists on disk.
 pub fn build_external_csr<P: AsRef<Path>>(
     paths: &[P],
     out: &Path,
     buf_bytes: usize,
 ) -> Result<ExternalCsrStats> {
+    build_external_csr_on(paths, out, buf_bytes, crate::parallel::num_threads(None))
+}
+
+/// [`build_external_csr`] on exactly `workers` threads.
+fn build_external_csr_on<P: AsRef<Path>>(
+    paths: &[P],
+    out: &Path,
+    buf_bytes: usize,
+    workers: usize,
+) -> Result<ExternalCsrStats> {
     let _span = kron_obs::span::enter("shard/build_external_csr");
-    let readers = open_all(paths, buf_bytes)?;
-    let first = readers
+    let first = paths
         .first()
         .ok_or_else(|| corrupt(Path::new("<no shards>"), "external build needs >= 1 run"))?;
-    let n = first.n();
+    let first = first.as_ref();
+    let n = read_shard_header(&mut File::open(first)?, first)?.n;
     let n_usize = n as usize;
 
-    // Predicted offsets from the v2 footers. The prediction is untrusted
-    // — every row boundary is re-verified during the merge pass below.
+    // Predicted offsets and claimed spans from the v2 footers. Both are
+    // untrusted — the build re-verifies them arc by arc.
     let mut offsets = vec![0u64; n_usize + 1];
-    let mut predicted = readers.iter().all(|r| r.version() == ShardVersion::V2);
-    if predicted {
-        for p in paths {
-            if !sum_footer_degrees(p, &mut offsets, buf_bytes)? {
-                predicted = false;
-                break;
-            }
+    let mut runs = Vec::with_capacity(paths.len());
+    for p in paths {
+        match sum_footer_degrees(p, &mut offsets, buf_bytes)? {
+            Some(span) => runs.push(FooterRun { path: p.as_ref().to_path_buf(), span }),
+            None => break,
         }
     }
-    let mut predicted_total = 0u64;
+    let predicted = runs.len() == paths.len();
     if predicted {
         for i in 1..=n_usize {
             offsets[i] = offsets[i]
                 .checked_add(offsets[i - 1])
                 .ok_or_else(|| corrupt(out, "predicted offsets overflow u64"))?;
         }
-        predicted_total = offsets[n_usize];
+        if let Some(stats) = build_scheduled(runs, &offsets, out, buf_bytes, workers.max(1))? {
+            return Ok(stats);
+        }
     } else {
         offsets.iter_mut().for_each(|o| *o = 0);
     }
+    build_sequential(paths, out, buf_bytes, offsets, predicted)
+}
 
+/// The footer-scheduled build (steps 2–4 of [`build_external_csr`]);
+/// `Ok(None)` when the input diverged from the prediction.
+fn build_scheduled(
+    runs: Vec<FooterRun>,
+    offsets: &[u64],
+    out: &Path,
+    buf_bytes: usize,
+    workers: usize,
+) -> Result<Option<ExternalCsrStats>> {
+    let n = (offsets.len() - 1) as u64;
+    let total = offsets[offsets.len() - 1];
+    let run_count = runs.len();
+    let lanes = partition_lanes(runs);
+    let chunks = if workers == 1 {
+        split_rows(offsets, 1)
+    } else {
+        // Deep overlap makes every extra chunk start re-decode most runs'
+        // prefixes; fall back to one chunk per worker when that would
+        // cost more than an eighth of the arcs.
+        let fine = split_rows(offsets, workers * CHUNKS_PER_WORKER);
+        if straddle_estimate(&lanes, &fine) <= total / 8 {
+            fine
+        } else {
+            split_rows(offsets, workers)
+        }
+    };
+
+    let mut writer = BufWriter::with_capacity(buf_bytes.max(64), File::create(out)?);
+    write_csr_header(&mut writer, n, total)?;
+    for offset in offsets {
+        writer.write_all(&offset.to_le_bytes())?;
+    }
+    let file = writer.into_inner().map_err(|e| GraphError::Io(e.into_error()))?;
+
+    // Relaxed is enough: the cursor only hands out chunk indices and the
+    // stop flag only cuts the remaining work short; results come back
+    // through `join`.
+    let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let work = || -> Result<Option<ChunkTally>> {
+        let mut tally = ChunkTally::default();
+        while !stop.load(Ordering::Relaxed) {
+            let Some(rows) = chunks.get(next.fetch_add(1, Ordering::Relaxed)) else { break };
+            match build_chunk(&lanes, rows.clone(), offsets, &file, out, buf_bytes) {
+                Ok(Some(t)) => tally.add(&t),
+                other => {
+                    stop.store(true, Ordering::Relaxed);
+                    return other;
+                }
+            }
+        }
+        Ok(Some(tally))
+    };
+    let results: Vec<Result<Option<ChunkTally>>> = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers.min(chunks.len())).map(|_| scope.spawn(work)).collect();
+        let mut results = vec![work()];
+        results.extend(helpers.into_iter().map(|h| h.join().expect("chunk worker panicked")));
+        results
+    });
+    let mut tally = ChunkTally::default();
+    let mut diverged = false;
+    for result in results {
+        match result? {
+            Some(t) => tally.add(&t),
+            None => diverged = true,
+        }
+    }
+    if diverged {
+        return Ok(None);
+    }
+    debug_assert_eq!(tally.arcs, total);
+    let bytes = targets_base(n) + total * 8;
+    count_merge(&MergeStats {
+        runs: run_count,
+        arcs_out: tally.arcs,
+        duplicates_discarded: tally.duplicates,
+    });
+    count_build(bytes, tally.arcs, false, lanes.len(), tally.skipped);
+    Ok(Some(ExternalCsrStats {
+        arcs: tally.arcs,
+        duplicates_discarded: tally.duplicates,
+        bytes,
+        merge_passes: 1,
+        offsets_rewritten: false,
+        lanes: lanes.len(),
+        chunks: chunks.len(),
+        straddle_skipped_arcs: tally.skipped,
+    }))
+}
+
+fn count_build(bytes: u64, arcs: u64, rewritten: bool, lanes: usize, skipped: u64) {
+    kron_obs::counter!("shard.external_csr_arcs").add(arcs);
+    kron_obs::counter!("shard.external_csr_bytes").add(bytes);
+    if rewritten {
+        kron_obs::counter!("shard.external_csr_offset_rewrites").add(1);
+    }
+    kron_obs::counter!("shard.merge_lanes").add(lanes as u64);
+    kron_obs::counter!("shard.merge_skipped_arcs").add(skipped);
+}
+
+/// The sequential single-pass build, one merge leaf per run: writes the
+/// `predicted` offsets (zeros when there is no prediction) optimistically,
+/// appends targets while verifying every row boundary, and on the first
+/// disagreement switches to tracking the true boundaries, which one seek
+/// rewrites at the end.
+fn build_sequential<P: AsRef<Path>>(
+    paths: &[P],
+    out: &Path,
+    buf_bytes: usize,
+    mut offsets: Vec<u64>,
+    predicted: bool,
+) -> Result<ExternalCsrStats> {
+    let readers = open_all(paths, buf_bytes)?;
+    let lanes = readers.len();
+    let n = (offsets.len() - 1) as u64;
+    let predicted_total = offsets[offsets.len() - 1];
     let mut writer = BufWriter::with_capacity(buf_bytes.max(64), File::create(out)?);
     write_csr_header(&mut writer, n, if predicted { predicted_total } else { UNFINISHED })?;
     for offset in &offsets {
@@ -1092,7 +1538,6 @@ pub fn build_external_csr<P: AsRef<Path>>(
     let mut dirty = !predicted;
     let mut row = 0u64;
     let mut pos = 0u64;
-    let readers = readers; // moved into the merge
     let stats = {
         let writer = &mut writer;
         let offsets = &mut offsets;
@@ -1140,25 +1585,23 @@ pub fn build_external_csr<P: AsRef<Path>>(
         }
         patch.flush()?;
     }
-    let bytes = 24 + (n + 1) * 8 + stats.arcs_out * 8;
-    kron_obs::counter!("shard.external_csr_arcs").add(stats.arcs_out);
-    kron_obs::counter!("shard.external_csr_bytes").add(bytes);
-    if dirty {
-        kron_obs::counter!("shard.external_csr_offset_rewrites").add(1);
-    }
+    let bytes = targets_base(n) + stats.arcs_out * 8;
+    count_build(bytes, stats.arcs_out, dirty, lanes, 0);
     Ok(ExternalCsrStats {
         arcs: stats.arcs_out,
         duplicates_discarded: stats.duplicates_discarded,
         bytes,
         merge_passes: 1,
         offsets_rewritten: dirty,
+        lanes,
+        chunks: 1,
+        straddle_skipped_arcs: 0,
     })
 }
 
 /// The PR 8 reference builder: two merge passes (degree count, then
-/// targets), no footer use. Kept as the conformance oracle —
-/// [`build_external_csr`] must produce byte-identical files — and as the
-/// fallback shape for formats without footers.
+/// targets), no footer use. Kept as the conformance oracle:
+/// [`build_external_csr`] must produce byte-identical files.
 pub fn build_external_csr_two_pass<P: AsRef<Path>>(
     paths: &[P],
     out: &Path,
@@ -1192,7 +1635,7 @@ pub fn build_external_csr_two_pass<P: AsRef<Path>>(
         return Err(corrupt(out, "shards changed between merge passes"));
     }
     writer.flush()?;
-    let bytes = 24 + (n + 1) * 8 + pass1.arcs_out * 8;
+    let bytes = targets_base(n) + pass1.arcs_out * 8;
     kron_obs::counter!("shard.external_csr_arcs").add(pass1.arcs_out);
     kron_obs::counter!("shard.external_csr_bytes").add(bytes);
     Ok(ExternalCsrStats {
@@ -1201,6 +1644,9 @@ pub fn build_external_csr_two_pass<P: AsRef<Path>>(
         bytes,
         merge_passes: 2,
         offsets_rewritten: false,
+        lanes: pass1.runs,
+        chunks: 1,
+        straddle_skipped_arcs: 0,
     })
 }
 
@@ -1984,7 +2430,9 @@ mod tests {
         let path = d.join("run.krsh");
         write_run(&path, n, &arcs);
         let mut counts = vec![0u64; n as usize + 1];
-        assert!(sum_footer_degrees(&path, &mut counts, 1024).unwrap());
+        let span = sum_footer_degrees(&path, &mut counts, 1024).unwrap().expect("v2 footer");
+        assert_eq!(span.arcs, arcs.len() as u64);
+        assert_eq!(span.rows, arcs[0].0..arcs[arcs.len() - 1].0 + 1);
         let mut expect = vec![0u64; n as usize + 1];
         for &(u, _) in &arcs {
             expect[u as usize + 1] += 1;
@@ -1994,7 +2442,7 @@ mod tests {
         let p1 = d.join("run_v1.krsh");
         write_run_versioned(&p1, n, &arcs, ShardVersion::V1);
         let mut untouched = vec![0u64; n as usize + 1];
-        assert!(!sum_footer_degrees(&p1, &mut untouched, 1024).unwrap());
+        assert_eq!(sum_footer_degrees(&p1, &mut untouched, 1024).unwrap(), None);
         assert!(untouched.iter().all(|&c| c == 0));
     }
 
@@ -2162,6 +2610,250 @@ mod tests {
         let mut counts = vec![0u64; n as usize + 1];
         assert!(sum_footer_degrees(&path, &mut counts, 512).is_err());
         assert!(build_external_csr(&[&path], &one, 512).is_err());
+    }
+
+    /// Rewrites a v2 run's footer to `entries` (absolute `(row, count)`
+    /// pairs), patching `footer_len` so the framing still validates.
+    fn forge_footer(path: &Path, entries: &[(u64, u64)]) {
+        let mut bytes = std::fs::read(path).unwrap();
+        let payload_len = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
+        bytes.truncate((V2_HEADER + payload_len) as usize);
+        let mut footer = Vec::new();
+        let mut prev = 0u64;
+        for &(row, count) in entries {
+            encode_varint(row - prev, &mut footer);
+            encode_varint(count, &mut footer);
+            prev = row;
+        }
+        bytes[32..40].copy_from_slice(&(footer.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&footer);
+        std::fs::write(path, &bytes).unwrap();
+    }
+
+    /// Every row of `0..n` with a few targets: a dense, duplicate-free
+    /// arc list whose degrees are close to uniform.
+    fn dense_arcs(n: u64, per_row: u64) -> Vec<Arc> {
+        let mut arcs: Vec<Arc> =
+            (0..n).flat_map(|u| (0..per_row).map(move |j| (u, (u * 7 + j * 13) % n))).collect();
+        arcs.sort_unstable();
+        arcs.dedup();
+        arcs
+    }
+
+    /// Builds `runs` with the private core at each worker count and
+    /// checks the KRSC bytes against the two-pass reference; returns the
+    /// stats per worker count.
+    fn build_at_workers(
+        d: &Path,
+        label: &str,
+        n: u64,
+        runs: &[(Vec<Arc>, ShardVersion)],
+    ) -> Vec<(usize, ExternalCsrStats)> {
+        let paths: Vec<PathBuf> = runs
+            .iter()
+            .enumerate()
+            .map(|(i, (arcs, version))| {
+                let path = d.join(format!("{label}_{i}.krsh"));
+                write_run_versioned(&path, n, arcs, *version);
+                path
+            })
+            .collect();
+        let two = d.join(format!("{label}_two.krsc"));
+        build_external_csr_two_pass(&paths, &two, 512).unwrap();
+        let want = std::fs::read(&two).unwrap();
+        [1usize, 2, 3, 8]
+            .into_iter()
+            .map(|workers| {
+                let out = d.join(format!("{label}_w{workers}.krsc"));
+                let stats = build_external_csr_on(&paths, &out, 512, workers).unwrap();
+                assert_eq!(stats.merge_passes, 1, "{label} at {workers} workers");
+                assert_eq!(stats.bytes, want.len() as u64, "{label} at {workers} workers");
+                assert!(
+                    std::fs::read(&out).unwrap() == want,
+                    "{label} at {workers} workers: KRSC differs from the two-pass build"
+                );
+                (workers, stats)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lanes_chain_row_disjoint_runs_and_chunks_straddle_them() {
+        let d = dir("lanes_disjoint");
+        let n = 200u64;
+        let arcs = dense_arcs(n, 5);
+        // Seven row-contiguous runs of ~29 rows: one lane, and chunk
+        // starts land inside runs.
+        let runs: Vec<(Vec<Arc>, ShardVersion)> = (0..7u64)
+            .map(|r| {
+                let rows = r * n / 7..(r + 1) * n / 7;
+                let run = arcs.iter().copied().filter(|a| rows.contains(&a.0)).collect();
+                (run, ShardVersion::V2)
+            })
+            .collect();
+        for (workers, stats) in build_at_workers(&d, "disjoint", n, &runs) {
+            assert_eq!(stats.lanes, 1, "row-disjoint runs chain into one lane");
+            assert!(!stats.offsets_rewritten);
+            assert_eq!(stats.duplicates_discarded, 0);
+            if workers == 1 {
+                assert_eq!((stats.chunks, stats.straddle_skipped_arcs), (1, 0));
+            } else {
+                assert!(stats.chunks >= workers, "{workers} workers, {} chunks", stats.chunks);
+                assert!(stats.straddle_skipped_arcs > 0, "{workers} workers: no chunk straddled");
+            }
+        }
+    }
+
+    #[test]
+    fn fully_overlapping_runs_get_a_lane_each() {
+        let d = dir("lanes_overlap");
+        let n = 120u64;
+        let arcs = dense_arcs(n, 4);
+        // Hash-owner shape: every run holds rows 0 and n - 1, so all
+        // spans are 0..n and pairwise overlap.
+        let runs: Vec<(Vec<Arc>, ShardVersion)> = (0..5usize)
+            .map(|r| {
+                let run = arcs
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, a)| i % 5 == r || a.0 == 0 || a.0 == n - 1)
+                    .map(|(_, &a)| a)
+                    .collect::<Vec<_>>();
+                (run, ShardVersion::V2)
+            })
+            .collect();
+        // Rows 0 and n - 1 repeat across runs: cross-run duplicates force
+        // the sequential path, so rebuild without them for the lanes.
+        for (_, stats) in build_at_workers(&d, "overlap_dups", n, &runs) {
+            assert!(stats.offsets_rewritten, "cross-run duplicates must be repaired");
+            assert_eq!((stats.lanes, stats.chunks), (5, 1));
+            assert!(stats.duplicates_discarded > 0);
+        }
+        let first_last = |r: usize| [(0, r as u64), (n - 1, r as u64)];
+        let runs: Vec<(Vec<Arc>, ShardVersion)> = (0..5usize)
+            .map(|r| {
+                let mut run: Vec<Arc> = arcs
+                    .iter()
+                    .copied()
+                    .filter(|a| a.0 != 0 && a.0 != n - 1)
+                    .enumerate()
+                    .filter(|&(i, _)| i % 5 == r)
+                    .map(|(_, a)| a)
+                    .collect();
+                run.extend(first_last(r));
+                run.sort_unstable();
+                (run, ShardVersion::V2)
+            })
+            .collect();
+        for (_, stats) in build_at_workers(&d, "overlap", n, &runs) {
+            assert_eq!(stats.lanes, 5, "pairwise-overlapping runs need one lane each");
+            assert!(!stats.offsets_rewritten);
+        }
+    }
+
+    #[test]
+    fn v1_runs_and_lying_footers_take_the_repair_path() {
+        let d = dir("lanes_fallback");
+        let n = 90u64;
+        let arcs = dense_arcs(n, 3);
+        let third = arcs.len() / 3;
+        let split = |versions: [ShardVersion; 3]| -> Vec<(Vec<Arc>, ShardVersion)> {
+            vec![
+                (arcs[..third].to_vec(), versions[0]),
+                (arcs[third..2 * third].to_vec(), versions[1]),
+                (arcs[2 * third..].to_vec(), versions[2]),
+            ]
+        };
+        use ShardVersion::{V1, V2};
+        for (_, stats) in build_at_workers(&d, "mixed", n, &split([V2, V1, V2])) {
+            assert!(stats.offsets_rewritten, "a v1 run has no prediction");
+            assert_eq!((stats.lanes, stats.chunks), (3, 1));
+        }
+
+        // A footer claiming a narrower span than the payload holds: the
+        // last row's arcs are booked to the row before it, so the count
+        // still sums and the framing validates.
+        let run = vec![(10u64, 1u64), (10, 2), (11, 0), (12, 5), (12, 6)];
+        let forged = d.join("narrow_forged.krsh");
+        write_run(&forged, n, &run);
+        forge_footer(&forged, &[(10, 2), (11, 3)]);
+        let mut counts = vec![0u64; n as usize + 1];
+        let span = sum_footer_degrees(&forged, &mut counts, 512).unwrap().unwrap();
+        assert_eq!(span.rows, 10..12, "the forged footer claims rows 10..=11");
+        let honest = d.join("narrow_honest.krsh");
+        write_run(&honest, n, &[(40, 1), (41, 2)]);
+        // A lie inside the span: row 10's second arc booked to row 11.
+        let shifted = d.join("shifted_forged.krsh");
+        write_run(&shifted, n, &[(10, 1), (10, 2), (11, 0)]);
+        forge_footer(&shifted, &[(10, 1), (11, 2)]);
+        for (label, forged) in [("narrow", &forged), ("shifted", &shifted)] {
+            let two = d.join(format!("{label}_two.krsc"));
+            build_external_csr_two_pass(&[forged, &honest], &two, 512).unwrap();
+            for workers in [1usize, 2, 3, 8] {
+                let out = d.join(format!("{label}_w{workers}.krsc"));
+                let stats = build_external_csr_on(&[forged, &honest], &out, 512, workers).unwrap();
+                assert!(stats.offsets_rewritten, "{label} at {workers} workers: lie not repaired");
+                assert_eq!(std::fs::read(&out).unwrap(), std::fs::read(&two).unwrap(), "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn compensating_footer_lies_cannot_unsort_a_row() {
+        // Run a holds (5, 9) but books it to row 4; run c holds (4, 2) but
+        // books it to row 5. Every predicted row count is right, and the
+        // spans chain a before the honest run b = [(5, 3)] in one lane, so
+        // without the span check row 5 would come out as [9, 3].
+        let d = dir("compensating_lies");
+        let n = 10u64;
+        let (a, b, c) = (d.join("a.krsh"), d.join("b.krsh"), d.join("c.krsh"));
+        write_run(&a, n, &[(5, 9)]);
+        forge_footer(&a, &[(4, 1)]);
+        write_run(&b, n, &[(5, 3)]);
+        write_run(&c, n, &[(4, 2)]);
+        forge_footer(&c, &[(5, 1)]);
+        let two = d.join("two.krsc");
+        build_external_csr_two_pass(&[&a, &b, &c], &two, 512).unwrap();
+        for workers in [1usize, 2, 3, 8] {
+            let out = d.join(format!("w{workers}.krsc"));
+            let stats = build_external_csr_on(&[&a, &b, &c], &out, 512, workers).unwrap();
+            // The counts were right, so the sequential path (one leaf per
+            // run) rewrites nothing.
+            assert_eq!((stats.lanes, stats.offsets_rewritten), (3, false), "{workers} workers");
+            assert_eq!(
+                std::fs::read(&out).unwrap(),
+                std::fs::read(&two).unwrap(),
+                "{workers} workers: KRSC differs from the two-pass build"
+            );
+        }
+    }
+
+    #[test]
+    fn split_rows_balances_predicted_arcs() {
+        // Rows 0..4 hold 1, 1, 10, 0 arcs.
+        let offsets = [0u64, 1, 2, 12, 12];
+        assert_eq!(split_rows(&offsets, 1), vec![0..4]);
+        assert_eq!(split_rows(&offsets, 2), vec![0..2, 2..4]);
+        // More pieces than rows: repeated boundaries fold away.
+        assert_eq!(split_rows(&offsets, 8), vec![0..1, 1..2, 2..3, 3..4]);
+        assert_eq!(split_rows(&[0u64, 0, 0], 4), vec![0..2]);
+    }
+
+    #[test]
+    fn partition_lanes_matches_overlap_depth() {
+        let run = |start: u64, end: u64| FooterRun {
+            path: PathBuf::from(format!("{start}_{end}")),
+            span: RunSpan { rows: start..end, arcs: 1 },
+        };
+        // Depth 3 at row 4 (spans 0..5, 3..6, 4..8); 6..9 reuses a lane.
+        let lanes = partition_lanes(vec![run(4, 8), run(0, 5), run(3, 6), run(6, 9), run(9, 10)]);
+        assert_eq!(lanes.len(), 3);
+        for lane in &lanes {
+            assert!(lane.windows(2).all(|w| w[0].span.rows.end <= w[1].span.rows.start));
+        }
+        let mut empty = run(2, 2);
+        empty.span.arcs = 0;
+        assert!(partition_lanes(vec![empty]).is_empty(), "empty runs take no lane");
     }
 
     #[test]

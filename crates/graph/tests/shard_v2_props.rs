@@ -5,7 +5,11 @@
 //! forged payload/footer lengths, bit flips in the compressed region,
 //! forged footers), and cross-version equivalence: v1, v2, and mixed run
 //! sets must merge to identical streams, and the single-pass external
-//! build must emit files byte-identical to the two-pass reference.
+//! build must emit files byte-identical to the two-pass reference — for
+//! every run shape its footer schedule meets (row-disjoint runs in one
+//! lane, fully overlapping runs, mixed versions, cross-run duplicates,
+//! runs straddling chunk starts) and for footers that lie about their
+//! row span.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -14,7 +18,7 @@ use proptest::prelude::*;
 
 use kron_graph::shard::{
     build_external_csr, build_external_csr_two_pass, decode_varint, encode_varint, merge_shards,
-    ShardReader, ShardVersion, ShardWriter, Varint, MAX_VARINT_BYTES,
+    ExternalCsrStats, ShardReader, ShardVersion, ShardWriter, Varint, MAX_VARINT_BYTES,
 };
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
@@ -54,6 +58,52 @@ fn drain(path: &PathBuf) -> kron_graph::Result<Vec<(u64, u64)>> {
         out.push(arc);
     }
     Ok(out)
+}
+
+/// Builds `runs` with the single-pass and the two-pass builders, checks
+/// the bytes match, removes every file, and returns the single-pass stats.
+fn build_both(tag: &str, n: u64, runs: &[(Vec<(u64, u64)>, ShardVersion)]) -> ExternalCsrStats {
+    let paths: Vec<PathBuf> =
+        runs.iter().map(|(run, version)| write_run(tag, n, run, *version)).collect();
+    let one = scratch("sched_one.krsc");
+    let two = scratch("sched_two.krsc");
+    let stats = build_external_csr(&paths, &one, 512).expect("single-pass build");
+    build_external_csr_two_pass(&paths, &two, 512).expect("two-pass build");
+    let (b1, b2) = (std::fs::read(&one).unwrap(), std::fs::read(&two).unwrap());
+    for p in paths.iter().chain([&one, &two]) {
+        std::fs::remove_file(p).ok();
+    }
+    assert!(b1 == b2, "{tag}: single-pass KRSC bytes differ from two-pass");
+    stats
+}
+
+/// Cuts sorted `arcs` into row-contiguous runs at the given rows.
+fn cut_by_rows(arcs: &[(u64, u64)], cuts: &[u64]) -> Vec<Vec<(u64, u64)>> {
+    let mut bounds: Vec<u64> = cuts.to_vec();
+    bounds.sort_unstable();
+    let mut runs = vec![Vec::new(); bounds.len() + 1];
+    for &arc in arcs {
+        runs[bounds.partition_point(|&b| b <= arc.0)].push(arc);
+    }
+    runs
+}
+
+/// Rewrites a v2 run's footer to absolute `(row, count)` entries,
+/// patching `footer_len` so the framing still validates.
+fn forge_footer(path: &PathBuf, entries: &[(u64, u64)]) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let payload_len = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
+    bytes.truncate(40 + payload_len as usize);
+    let mut footer = Vec::new();
+    let mut prev = 0u64;
+    for &(row, count) in entries {
+        encode_varint(row - prev, &mut footer);
+        encode_varint(count, &mut footer);
+        prev = row;
+    }
+    bytes[32..40].copy_from_slice(&(footer.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&footer);
+    std::fs::write(path, &bytes).unwrap();
 }
 
 proptest! {
@@ -289,6 +339,118 @@ proptest! {
         let b2 = std::fs::read(&two).expect("read two-pass output");
         prop_assert_eq!(b1, b2, "single-pass KRSC bytes differ from two-pass");
         for p in paths.iter().chain([&one, &two]) {
+            std::fs::remove_file(p).ok();
+        }
+    }
+
+    /// Row-disjoint runs chain into one lane (the VertexBlock spill
+    /// shape) and, with chunk starts landing inside runs, still build
+    /// byte-identical files with no rewrite.
+    #[test]
+    fn row_disjoint_runs_share_one_lane(
+        arcs in sorted_run(200, 600),
+        cuts in proptest::collection::vec(0u64..200, 0..12),
+    ) {
+        let mut arcs = arcs;
+        arcs.dedup();
+        let runs: Vec<_> =
+            cut_by_rows(&arcs, &cuts).into_iter().map(|r| (r, ShardVersion::V2)).collect();
+        let stats = build_both("disjoint", 200, &runs);
+        prop_assert_eq!(stats.lanes, usize::from(!arcs.is_empty()));
+        prop_assert!(!stats.offsets_rewritten);
+        prop_assert_eq!(stats.arcs, arcs.len() as u64);
+    }
+
+    /// Runs dealt arc by arc (the Hash-owner shape) overlap fully; the
+    /// schedule needs at most one lane per run and never rewrites.
+    #[test]
+    fn overlapping_runs_build_identically(
+        arcs in sorted_run(64, 400),
+        assign in proptest::collection::vec(0usize..6, 400),
+    ) {
+        let mut arcs = arcs;
+        arcs.dedup();
+        let mut runs = vec![Vec::new(); 6];
+        for (i, &arc) in arcs.iter().enumerate() {
+            runs[assign[i]].push(arc);
+        }
+        let nonempty = runs.iter().filter(|r| !r.is_empty()).count();
+        let runs: Vec<_> = runs.into_iter().map(|r| (r, ShardVersion::V2)).collect();
+        let stats = build_both("overlap", 64, &runs);
+        prop_assert!(stats.lanes <= nonempty, "{} lanes for {nonempty} runs", stats.lanes);
+        prop_assert!(!stats.offsets_rewritten);
+    }
+
+    /// Mixed v1/v2 run sets and cross-run duplicates diverge from any
+    /// footer prediction; the repair path keeps the bytes identical.
+    #[test]
+    fn mixed_versions_and_duplicates_take_the_repair_path(
+        arcs in sorted_run(80, 300),
+        cuts in proptest::collection::vec(0u64..80, 1..6),
+        v1_run in 0usize..6,
+        dup in 0usize..300,
+    ) {
+        let mut arcs = arcs;
+        arcs.dedup();
+        prop_assume!(!arcs.is_empty());
+        let pieces = cut_by_rows(&arcs, &cuts);
+        let v1_run = v1_run % pieces.len();
+        let mixed: Vec<_> = pieces
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let version = if i == v1_run { ShardVersion::V1 } else { ShardVersion::V2 };
+                (r.clone(), version)
+            })
+            .collect();
+        let stats = build_both("mixed", 80, &mixed);
+        prop_assert!(stats.offsets_rewritten, "a v1 run cannot be predicted");
+
+        // One arc repeated in a second, otherwise row-disjoint run.
+        let mut dup_runs: Vec<_> = pieces.into_iter().map(|r| (r, ShardVersion::V2)).collect();
+        dup_runs.push((vec![arcs[dup % arcs.len()]], ShardVersion::V2));
+        let stats = build_both("dups", 80, &dup_runs);
+        prop_assert!(stats.offsets_rewritten, "cross-run duplicate not repaired");
+        prop_assert_eq!(stats.duplicates_discarded, 1);
+    }
+
+    /// A footer claiming a narrower row span than its payload holds (the
+    /// last row's arcs booked to the row before, so counts still sum) is
+    /// repaired or rejected, never written unsorted.
+    #[test]
+    fn narrow_forged_footer_is_repaired(
+        arcs in sorted_run(50, 200),
+        others in sorted_run(50, 200),
+    ) {
+        let mut arcs = arcs;
+        arcs.dedup();
+        let mut rows: Vec<(u64, u64)> = Vec::new();
+        for &(u, _) in &arcs {
+            match rows.last_mut() {
+                Some((r, c)) if *r == u => *c += 1,
+                _ => rows.push((u, 1)),
+            }
+        }
+        prop_assume!(rows.len() >= 2);
+        let (_, last_count) = rows.pop().unwrap();
+        rows.last_mut().unwrap().1 += last_count;
+        let forged = write_run("narrow", 50, &arcs, ShardVersion::V2);
+        forge_footer(&forged, &rows);
+        let honest = write_run("narrow_other", 50, &others, ShardVersion::V2);
+        let one = scratch("narrow_one.krsc");
+        let two = scratch("narrow_two.krsc");
+        build_external_csr_two_pass(&[&forged, &honest], &two, 512).expect("two-pass build");
+        match build_external_csr(&[&forged, &honest], &one, 512) {
+            Ok(stats) => {
+                prop_assert!(stats.offsets_rewritten);
+                prop_assert!(
+                    std::fs::read(&one).unwrap() == std::fs::read(&two).unwrap(),
+                    "forged footer changed the KRSC bytes"
+                );
+            }
+            Err(e) => prop_assert!(e.to_string().contains("footer"), "unexpected error {e}"),
+        }
+        for p in [&forged, &honest, &one, &two] {
             std::fs::remove_file(p).ok();
         }
     }

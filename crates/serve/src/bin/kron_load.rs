@@ -96,32 +96,61 @@ struct ServeReport {
     obs: ObsReport,
 }
 
-fn print_stats(label: &str, s: &LoadStats, hit_rate: f64) {
+/// Prints one stats line; `hit_rate` is `None` when it is unknown (the
+/// server could not be scraped, or its cache saw no lookups).
+fn print_stats(label: &str, s: &LoadStats, hit_rate: Option<f64>) {
+    let hit_rate = hit_rate.map_or_else(|| "n/a".to_string(), |r| format!("{:.1}%", r * 100.0));
     eprintln!(
         "kron-load: {label}: {} queries in {:.3}s = {:.0} q/s; RTT p50 {:.0}us p90 {:.0}us p99 {:.0}us; \
-         {}/{} frames validated, {} mismatched; cache hit rate {:.1}%",
+         {}/{} frames validated, {} mismatched; cache hit rate {hit_rate}",
         s.queries, s.secs, s.qps, s.p50_us, s.p90_us, s.p99_us,
-        s.validated_frames, s.frames, s.mismatched_frames, hit_rate * 100.0,
+        s.validated_frames, s.frames, s.mismatched_frames,
     );
 }
 
-/// One admin request/reply roundtrip on `stream`. Panics on transport
-/// or protocol errors — a broken scrape plane is a failed run.
-fn admin_roundtrip(stream: &mut TcpStream, id: u64, req: &Request) -> String {
+/// One admin request/reply roundtrip on `stream`; `Err` describes the
+/// transport or protocol failure.
+fn try_admin_roundtrip(stream: &mut TcpStream, id: u64, req: &Request) -> Result<String, String> {
     let mut buf = Vec::new();
     protocol::encode_request(id, req, &mut buf);
-    stream.write_all(&buf).expect("send admin frame");
+    stream.write_all(&buf).map_err(|e| format!("send admin frame: {e}"))?;
     let mut payload = Vec::new();
-    assert!(
-        protocol::read_frame(stream, &mut payload).expect("read admin reply"),
-        "server closed during admin scrape"
-    );
-    let (rid, resp) = protocol::decode_response(&payload).expect("decode admin reply");
-    assert_eq!(rid, id, "admin reply echoes the request id");
-    match resp {
-        Response::AdminJson(json) => json,
-        other => panic!("expected AdminJson reply, got {other:?}"),
+    match protocol::read_frame(stream, &mut payload) {
+        Ok(true) => {}
+        Ok(false) => return Err("server closed during admin scrape".into()),
+        Err(e) => return Err(format!("read admin reply: {e}")),
     }
+    let (rid, resp) =
+        protocol::decode_response(&payload).map_err(|e| format!("decode admin reply: {e:?}"))?;
+    if rid != id {
+        return Err(format!("admin reply id {rid} does not echo request id {id}"));
+    }
+    match resp {
+        Response::AdminJson(json) => Ok(json),
+        other => Err(format!("expected AdminJson reply, got {other:?}")),
+    }
+}
+
+/// [`try_admin_roundtrip`] that panics on failure — a broken scrape
+/// plane is a failed run.
+fn admin_roundtrip(stream: &mut TcpStream, id: u64, req: &Request) -> String {
+    try_admin_roundtrip(stream, id, req).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Row-cache hit rate from a `Stats` reply: hits / (hits + misses), or
+/// `None` when the counters are missing or the cache saw no lookups.
+fn scraped_hit_rate(stats_json: &str) -> Option<f64> {
+    let hits = json_u64(stats_json, "cache_hits")?;
+    let misses = json_u64(stats_json, "cache_misses")?;
+    let lookups = hits + misses;
+    (lookups > 0).then(|| hits as f64 / lookups as f64)
+}
+
+/// One `Stats` scrape on a fresh connection, `None` if it fails.
+fn scrape_stats(addr: SocketAddr) -> Option<String> {
+    let mut stream = TcpStream::connect(addr).ok()?;
+    stream.set_nodelay(true).ok()?;
+    try_admin_roundtrip(&mut stream, 1, &Request::Admin(AdminRequest::Stats)).ok()
 }
 
 /// Extracts `"key": N` from a pretty-printed admin reply — the same
@@ -276,13 +305,21 @@ fn main() {
         (scrape_interval > 0).then(|| spawn_scraper(addr, scrape_interval, Arc::clone(&stop)));
 
     let stats = run_load(&engine, addr, &cfg);
-    print_stats("run", &stats, 0.0);
 
     stop.store(true, Ordering::Relaxed);
     let polls = scraper.map(|h| h.join().expect("scraper panicked")).unwrap_or(0);
+    // The cache lives in the server, so its hit rate comes from a scrape:
+    // the sidecar's final Stats reply, or a one-off Stats request.
+    let final_stats = admin_conn
+        .as_mut()
+        .map(|stream| admin_roundtrip(stream, 2, &Request::Admin(AdminRequest::Stats)));
+    let hit_rate = match &final_stats {
+        Some(json) => scraped_hit_rate(json),
+        None => scrape_stats(addr).as_deref().and_then(scraped_hit_rate),
+    };
+    print_stats("run", &stats, hit_rate);
     let mut scrape_mismatches = 0;
-    if let Some(stream) = admin_conn.as_mut() {
-        let json = admin_roundtrip(stream, 2, &Request::Admin(AdminRequest::Stats));
+    if let (Some(stream), Some(json)) = (admin_conn.as_mut(), final_stats) {
         kron_obs::json_lint::validate(&json).expect("final Stats reply lints");
         scrape_mismatches = cross_check(&json, &stats);
         eprintln!(
@@ -386,7 +423,7 @@ fn self_mode(args: &[String], scale: u32, seed_a: u64, seed_b: u64, root: u64, s
         }
         runs.sort_by(|a, b| a.0.secs.total_cmp(&b.0.secs));
         let (stats, hit_rate) = runs.swap_remove(REPS / 2);
-        print_stats(name, &stats, hit_rate);
+        print_stats(name, &stats, Some(hit_rate));
         phases.push(ServePhase {
             name: name.to_string(),
             secs_threads_1: stats.secs,
@@ -431,5 +468,20 @@ fn self_mode(args: &[String], scale: u32, seed_a: u64, seed_b: u64, root: u64, s
     if total_mismatches > 0 {
         eprintln!("kron-load: FAIL: {total_mismatches} mismatched responses");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn hit_rate_comes_from_the_scraped_counters() {
+        let json =
+            "{\n  \"cache_hits\": 1909,\n  \"cache_misses\": 1407,\n  \"cache_evictions\": 0\n}";
+        let rate = scraped_hit_rate(json).expect("both counters present");
+        assert!((rate - 1909.0 / 3316.0).abs() < 1e-12, "rate {rate}");
+        assert_eq!(scraped_hit_rate("{\n  \"cache_hits\": 0,\n  \"cache_misses\": 0\n}"), None);
+        assert_eq!(scraped_hit_rate("{\n  \"served_total\": 5\n}"), None);
     }
 }

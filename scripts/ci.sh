@@ -21,6 +21,10 @@
 #                phases in BENCH_PR6.json, serve phases in BENCH_PR7.json,
 #                shard phases in BENCH_PR9.json, flight-recorder overhead
 #                phases in BENCH_PR10.json)
+#   7. perfbench: the end-to-end benchmark's own checker tests, then a
+#                3-second gen_2d_spill run whose JSON result line must
+#                report "correct": true — a library change that breaks
+#                the benchmark build or its bit-exact check fails here
 #
 # Any failing stage aborts the run with that stage's exit code. Run this
 # before every PR; it is the enforced superset of the tier-1 contract in
@@ -54,5 +58,15 @@ scripts/shard.sh
 
 echo "==== ci: bench + regression gate ===="
 scripts/bench.sh
+
+echo "==== ci: perfbench checker tests + gen_2d_spill smoke ===="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+SMOKE_OUT="$(python3 perfbench/run.py --workload gen_2d_spill --seed 1 --seconds 3 --trace 0)"
+SMOKE_LAST="$(printf '%s\n' "${SMOKE_OUT}" | tail -n 1)"
+echo "${SMOKE_LAST}"
+if ! printf '%s' "${SMOKE_LAST}" | grep -q '"correct": true'; then
+  echo "ci: FATAL: gen_2d_spill smoke did not report \"correct\": true" >&2
+  exit 1
+fi
 
 echo "==== ci: all stages passed ===="
